@@ -11,13 +11,10 @@
 //
 // This bench measures all three against the same preloaded list.
 //
-// It also settles the ROADMAP's trie question: the second table sweeps
-// node_size for in-node key resolution — std::lower_bound vs the
-// shipped branchless flat_lower_bound vs the PATRICIA BitTrie
-// (trie/bit_trie.hpp, probe only AND probe+rebuild amortized at one
-// rebuild per node replacement) — looking for the crossover where the
-// trie would earn a place inside the node. See ROADMAP.md for the
-// recorded decision.
+// The second table sweeps node_size for in-node key resolution:
+// std::lower_bound vs the shipped branchless flat_lower_bound. (A
+// PATRICIA bit trie was measured here too and lost at every node size;
+// docs/benchmarks.md keeps that result.)
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -25,7 +22,6 @@
 #include "harness/table.hpp"
 #include "harness/workload.hpp"
 #include "leaplist/leaplist.hpp"
-#include "trie/bit_trie.hpp"
 #include "util/random.hpp"
 
 using namespace leap::core;
@@ -146,14 +142,11 @@ int main() {
 
   leap::harness::print_figure_header(
       std::cout, "Ablation: in-node key search across node_size",
-      "probes/sec on node-resident key arrays; trie shown probe-only and "
-      "with its per-replacement rebuild amortized over 10 probes",
-      "branchless lower_bound wins every K the node layout supports; the "
-      "trie's pointer-chasing descent plus rebuild-per-update never "
-      "crosses over (ROADMAP trie item: negative result)");
+      "probes/sec on node-resident key arrays",
+      "branchless lower_bound wins every K the node layout supports");
   {
     Table innode({"node_size", "std::lower_bound", "branchless",
-                  "trie probe", "trie probe+build/10", "branchless/trie"});
+                  "branchless/std"});
     leap::util::Xoshiro256 gen(99);
     for (const std::size_t k : {16u, 64u, 300u, 1000u, 4096u}) {
       // Keys the way nodes see them: a dense range slice.
@@ -163,7 +156,6 @@ int main() {
         next += 1 + static_cast<Key>(gen.next_below(5));
         keys.push_back(next);
       }
-      const leap::trie::BitTrie trie = leap::trie::BitTrie::build(keys);
       const auto measure = [&](auto&& probe) {
         leap::util::Xoshiro256 rng(7);
         const auto deadline = std::chrono::steady_clock::now() +
@@ -188,39 +180,10 @@ int main() {
         return static_cast<long>(leap::core::detail::flat_lower_bound(
             keys.data(), keys.size(), probe));
       });
-      const double trie_probe = measure([&](Key probe) {
-        return static_cast<long>(trie.get_index(keys, probe));
-      });
-      // Nodes are immutable: wiring the trie in means one build per
-      // replacement. Amortize one build per 10 probes (a read-heavy
-      // 90/10 mix) on top of the probe cost.
-      double trie_amortized = 0;
-      {
-        leap::util::Xoshiro256 rng(7);
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(window);
-        std::uint64_t count = 0;
-        long sink = 0;
-        while (std::chrono::steady_clock::now() < deadline) {
-          for (int i = 0; i < 512; ++i) {
-            if (count % 10 == 9) {
-              const auto rebuilt = leap::trie::BitTrie::build(keys);
-              sink += static_cast<long>(rebuilt.internal_nodes());
-            }
-            sink += trie.get_index(keys, keys[rng.next_below(keys.size())]);
-            ++count;
-          }
-        }
-        asm volatile("" : : "g"(&sink) : "memory");
-        trie_amortized = static_cast<double>(count) /
-                         (static_cast<double>(window) / 1000.0);
-      }
       innode.add_row({std::to_string(k), Table::format_ops(std_lb),
                       Table::format_ops(branchless),
-                      Table::format_ops(trie_probe),
-                      Table::format_ops(trie_amortized),
                       Table::format_ratio(branchless /
-                                          std::max(trie_probe, 1.0))});
+                                          std::max(std_lb, 1.0))});
     }
     innode.print(std::cout);
   }

@@ -10,8 +10,6 @@
 //   * tx writes + commit (the write-set cost COP pays for node content).
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "stm/stm.hpp"
@@ -80,40 +78,6 @@ void BM_TxWriteCommit(benchmark::State& state) {
 }
 // 16 ~ an LT locking transaction; 600 ~ a COP 300-pair node construction.
 BENCHMARK(BM_TxWriteCommit)->Arg(16)->Arg(600);
-
-// Write-set membership and read-your-writes at width W (Arg): the
-// open-addressing stamp/index behind Tx::has_write, which composable
-// typed-map ops probe once per level per operation — a linear scan
-// here goes quadratic for wide multi-op transactions. The loop
-// micro-asserts membership (present hits, absent misses) so an index
-// regression fails the smoke run loudly instead of just slowly.
-void BM_WriteSetProbe(benchmark::State& state) {
-  auto& words = shared_words();
-  Tx& tx = tls_tx();
-  const auto width = static_cast<std::size_t>(state.range(0));
-  std::uint64_t bad = 0;
-  for (auto _ : state) {
-    atomically(tx, [&](Tx& t) {
-      for (std::size_t k = 0; k < width; ++k) {
-        words[k].tx_write(t, k);
-      }
-      for (std::size_t k = 0; k < width; ++k) {
-        if (!t.has_write(words[k])) ++bad;
-        benchmark::DoNotOptimize(words[k].tx_read(t));  // read-your-writes
-      }
-      if (t.has_write(words[width])) ++bad;  // never written this txn
-    });
-  }
-  if (bad != 0) {
-    std::fprintf(stderr, "BM_WriteSetProbe: %llu membership errors\n",
-                 static_cast<unsigned long long>(bad));
-    std::abort();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * width));
-}
-// 16 ~ one leap-list update's swing; 512 ~ a wide typed-map transaction.
-BENCHMARK(BM_WriteSetProbe)->Arg(16)->Arg(128)->Arg(512);
 
 void BM_RawWrite(benchmark::State& state) {
   auto& words = shared_words();

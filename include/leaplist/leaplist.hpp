@@ -123,8 +123,8 @@ class Appender {
 /// First index in [0, n] whose key is >= probe: branchless binary
 /// search over the flat key array. The per-step update compiles to a
 /// conditional move, so the in-node hot loop carries no unpredictable
-/// branch (measured against std::lower_bound and the PATRICIA trie in
-/// abl_search / abl_trie; see ROADMAP's trie item).
+/// branch (measured against std::lower_bound in abl_search; a PATRICIA
+/// trie lost to it too, see docs/benchmarks.md).
 inline std::size_t flat_lower_bound(const Key* keys, std::size_t n,
                                     Key probe) noexcept {
   std::size_t base = 0;
@@ -971,28 +971,17 @@ class LeapListBase {
   // vanish) as one unit. Callers must hold an ebr::Guard for the whole
   // transaction — leap::txn does.
   //
-  // Updates (txn_insert/txn_erase) always take their window from the
-  // instrumented search. A raw search cannot see TL2 write locks: it
-  // can return a window that a concurrent commit is still writing back,
-  // and an update planned on it wedged two workers committing to one
-  // shard. tests/test_sharded.cpp's update-wedge test reproduces that.
-  //
-  // kHybrid search safety (txn_get and txn_for_range only; STILL
-  // UNPROVEN): their raw descent runs after the attempt's begin() and,
-  // like the removed hybrid update path, ignores write locks. The
-  // argument is that each answer rests only on bottom-level hop words
-  // read through tx_read, which rejects a word that is locked or newer
-  // than rv_, and that fat nodes are immutable once published. Whether
-  // a raw descent can land on a stale predecessor whose hop word still
-  // validates has neither a proof nor a test that would break it. The
-  // raw traversal also cannot see this transaction's OWN buffered
-  // writes; a has_write check on the hop word routes those reads to
-  // the instrumented search, which reads its own writes.
-
-  /// How a composable read locates its window: kHybrid pays a raw
-  /// COP-style search when possible; kInstrumented always pays the
-  /// fully instrumented search (the paper's Leap-tm discipline).
-  enum class TxSearch { kHybrid, kInstrumented };
+  // Every txn_* operation takes its window from the instrumented search
+  // (search_predecessors_tx), the paper's Leap-tm discipline: each hop
+  // is a tx_read, so the window is validated with everything else the
+  // transaction read, and this transaction's own buffered writes are
+  // read back. A raw search cannot see TL2 write locks. It can return a
+  // window that a concurrent commit (ordered before this transaction)
+  // is still writing back: an update planned on one wedged two workers
+  // committing to one shard (tests/test_sharded.cpp's update-wedge
+  // test), and a read landed on a node that commit had already
+  // replaced. The raw search_predecessors stays with LT, COP and RW,
+  // which validate (or lock) the window they found before trusting it.
 
   /// Tie a planned replacement to the transaction outcome. Must run
   /// before apply_swap so an abort inside the swap still reclaims the
@@ -1038,22 +1027,8 @@ class LeapListBase {
     return true;
   }
 
-  std::optional<Value> txn_get(stm::Tx& tx, Key key, TxSearch mode) const {
+  std::optional<Value> txn_get(stm::Tx& tx, Key key) const {
     assert(tx.in_tx());
-    if (mode == TxSearch::kHybrid) {
-      const SearchResult sr =
-          search_predecessors(head_, params_.max_level, key);
-      // Replacing the cover node rewrites its (unique) bottom-level
-      // predecessor word, so one clean hop pins the node's identity and
-      // immutable content makes the read valid.
-      if (!tx.has_write(sr.pa[0]->next(0))) {
-        (void)sr.pa[0]->next(0).tx_read(tx);
-        const Node* n = sr.na[0];
-        const int idx = find_in(n, key);
-        if (idx < 0) return std::nullopt;
-        return n->values()[idx];
-      }
-    }
     const SearchResult sr =
         search_predecessors_tx(tx, head_, params_.max_level, key);
     const Node* n = sr.na[0];
@@ -1063,45 +1038,15 @@ class LeapListBase {
   }
 
   /// Visitor-driven in-transaction range scan. The visitor runs during
-  /// the (speculative) walk so it can stop the scan early; a hybrid
-  /// walk that trips over this transaction's own buffered writes is
-  /// rolled back via visit_restart and redone instrumented. Returns the
-  /// number of pairs visited.
+  /// the walk so it can stop the scan early. Nothing restarts inside
+  /// the transaction: a conflict aborts the attempt whole, and rolling
+  /// the visitor back is the attempt owner's job (LeapListTM::for_range,
+  /// or the caller's closure for the `*_in` forms). Returns the number
+  /// of pairs visited.
   template <typename F>
-  std::size_t txn_for_range(stm::Tx& tx, Key low, Key high, F&& fn,
-                            TxSearch mode) const {
+  std::size_t txn_for_range(stm::Tx& tx, Key low, Key high, F&& fn) const {
     assert(tx.in_tx());
     std::size_t count = 0;
-    if (mode == TxSearch::kHybrid) {
-      detail::visit_restart(fn);
-      const SearchResult sr =
-          search_predecessors(head_, params_.max_level, low);
-      Node* x = sr.pa[0];
-      bool self_dirty = false;
-      while (true) {
-        if (tx.has_write(x->next(0))) {
-          // The chain ahead was reshaped by this transaction; only the
-          // instrumented walk sees the buffered pointers.
-          self_dirty = true;
-          break;
-        }
-        const std::uint64_t word = x->next(0).tx_read(tx);
-        if (util::is_marked(word)) {
-          // Unreachable by construction (a pre-begin mark implies the
-          // hop word was re-pointed; a post-begin mark aborts the
-          // tx_read above) — abort defensively rather than hop on it.
-          tx.abort();
-        }
-        Node* n = util::to_ptr<Node>(word);
-        if (!visit_node(n, low, high, fn, count)) return count;
-        if (n->high_raw() >= high) return count;
-        x = n;
-      }
-      assert(self_dirty);
-      (void)self_dirty;
-    }
-    detail::visit_restart(fn);
-    count = 0;
     const SearchResult sr =
         search_predecessors_tx(tx, head_, params_.max_level, low);
     Node* n = sr.na[0];
@@ -1329,11 +1274,10 @@ class LeapListCOP : public LeapListBase {
 /// composable surface: the `*_in` forms enlist in a caller-owned open
 /// transaction (leap::txn), so one transaction can move keys between
 /// lists, update several lists, and take multi-list range snapshots as
-/// one atomic unit. Composable updates and all single-op forms use the
-/// paper's fully instrumented search; composable reads (get_in,
-/// for_range_in, range_in) use the hybrid search (raw COP-style
-/// traversal, hop words read transactionally). Single-op forms
-/// flat-nest into an enclosing leap::txn when called from one.
+/// one atomic unit. Every operation, composable or single-op, reaches
+/// its window through the paper's fully instrumented search
+/// (search_predecessors_tx). Single-op forms flat-nest into an
+/// enclosing leap::txn when called from one.
 class LeapListTM : public LeapListBase {
  public:
   using LeapListBase::LeapListBase;
@@ -1348,24 +1292,22 @@ class LeapListTM : public LeapListBase {
   }
 
   std::optional<Value> get_in(stm::Tx& tx, Key key) const {
-    return txn_get(tx, key, TxSearch::kHybrid);
+    return txn_get(tx, key);
   }
 
   /// Composable range visitation: enlists in the caller's open
-  /// transaction. Like the enclosing leap::txn closure, the visitor may
-  /// be re-invoked (after visit_restart) when the attempt conflicts or
-  /// the hybrid walk falls back to the instrumented search.
+  /// transaction. A conflict re-runs the caller's whole closure, so
+  /// build an accumulating visitor inside it (docs/range-queries.md).
   template <typename F>
   std::size_t for_range_in(stm::Tx& tx, Key low, Key high, F&& fn) const {
-    return txn_for_range(tx, low, high, fn, TxSearch::kHybrid);
+    return txn_for_range(tx, low, high, fn);
   }
 
   /// Legacy bulk form: REPLACES `out` (clears, then collects).
   std::size_t range_in(stm::Tx& tx, Key low, Key high,
                        std::vector<KV>& out) const {
     out.clear();
-    return txn_for_range(tx, low, high, detail::Appender(out),
-                         TxSearch::kHybrid);
+    return txn_for_range(tx, low, high, detail::Appender(out));
   }
 
   // Single-op forms — one transaction per call.
@@ -1383,14 +1325,15 @@ class LeapListTM : public LeapListBase {
 
   std::optional<Value> get(Key key) const {
     return leap::txn([&](stm::Tx& tx) {
-      return txn_get(tx, key, TxSearch::kInstrumented);
+      return txn_get(tx, key);
     });
   }
 
   template <typename F>
   std::size_t for_range(Key low, Key high, F&& fn) const {
     return leap::txn([&](stm::Tx& tx) {
-      return txn_for_range(tx, low, high, fn, TxSearch::kInstrumented);
+      detail::visit_restart(fn);  // per-attempt rollback
+      return txn_for_range(tx, low, high, fn);
     });
   }
 

@@ -286,10 +286,8 @@ class Map {
   }
 
   /// Composable bounded scan: like scan, but enlisted in the caller's
-  /// open transaction. The append base is captured per call, so an
-  /// in-transaction restart of this visitation rolls back exactly this
-  /// call's contribution (a whole-transaction retry is the caller's
-  /// closure contract, as for every `*_in` form).
+  /// open transaction. APPENDS to `out`; a whole-transaction retry is
+  /// the caller's closure contract, as for every `*_in` form.
   std::size_t scan_in(stm::Tx& tx, const K& low, std::size_t limit,
                       std::vector<value_type>& out) const
     requires(Policy::kComposable)

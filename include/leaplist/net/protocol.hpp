@@ -36,12 +36,13 @@
 // closes the connection. Every integer is little-endian, written and
 // read through util/le.hpp (the codec the on-disk formats share).
 // Parsers reject frames whose body is shorter or longer than the
-// opcode demands — a frame either decodes exactly or errors out the
-// connection.
+// opcode demands, and point-op keys outside [kLowestKey, kHighestKey]
+// — a frame either decodes exactly or errors out the connection.
 #pragma once
 
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -58,6 +59,15 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 
 /// Most ops a single Txn request may carry.
 inline constexpr std::size_t kMaxTxnOps = 1024;
+
+/// The keys the map can hold: every int64 but the two extremes, which
+/// are the engine's sentinel words. A Get, Put, Erase or Txn sub-op
+/// naming an extreme is a bad body; Scan bounds may be anything (the
+/// server clamps them into this window).
+inline constexpr std::int64_t kLowestKey =
+    std::numeric_limits<std::int64_t>::min() + 1;
+inline constexpr std::int64_t kHighestKey =
+    std::numeric_limits<std::int64_t>::max() - 1;
 
 /// Pairs per ScanChunk/ScanDone frame — the server's streaming unit,
 /// and the bound on how much of a large range is ever buffered.
@@ -407,8 +417,14 @@ inline bool is_point_op(Op op) {
   return op == Op::kGet || op == Op::kPut || op == Op::kErase;
 }
 
+/// Read one point-op key; false when short or outside the key window.
+inline bool read_key(Reader& r, std::int64_t& key) {
+  return r.read_i64(key) && key >= kLowestKey && key <= kHighestKey;
+}
+
 /// Decode one request payload. nullopt = malformed (unknown opcode,
-/// short/long body, oversized txn) — the caller errors the connection.
+/// short/long body, a point key outside the key window, oversized
+/// txn) — the caller errors the connection.
 inline std::optional<Request> parse_request(const std::uint8_t* payload,
                                             std::size_t size) {
   Reader r(payload, size);
@@ -419,10 +435,10 @@ inline std::optional<Request> parse_request(const std::uint8_t* payload,
   switch (req.op) {
     case Op::kGet:
     case Op::kErase:
-      if (!r.read_i64(req.key)) return std::nullopt;
+      if (!read_key(r, req.key)) return std::nullopt;
       break;
     case Op::kPut:
-      if (!r.read_i64(req.key) || !r.read_i64(req.value)) return std::nullopt;
+      if (!read_key(r, req.key) || !r.read_i64(req.value)) return std::nullopt;
       break;
     case Op::kScan:
       if (!r.read_i64(req.low) || !r.read_i64(req.high) ||
@@ -443,7 +459,7 @@ inline std::optional<Request> parse_request(const std::uint8_t* payload,
         if (!r.read_u8(sub_raw)) return std::nullopt;
         sub.op = static_cast<Op>(sub_raw);
         if (!is_point_op(sub.op)) return std::nullopt;
-        if (!r.read_i64(sub.key)) return std::nullopt;
+        if (!read_key(r, sub.key)) return std::nullopt;
         if (sub.op == Op::kPut && !r.read_i64(sub.value)) return std::nullopt;
         req.txn.push_back(sub);
       }

@@ -27,9 +27,9 @@
 //                multi-list atomicity applied to partitions). The
 //                transaction may retry; the caller's visitor is rolled
 //                back via its on_restart() hook (leap::append_to has
-//                one), exactly the Map visitor contract. Each shard
-//                segment is staged against in-transaction restarts and
-//                replayed once final.
+//                one), exactly the Map visitor contract. Nothing
+//                restarts inside the transaction, so each shard's
+//                segment goes straight into the caller's visitor.
 //   others       bundled references (leaplist/bundle.hpp): the scan
 //                pins ONE global timestamp and walks every covered
 //                shard as of that instant, so the stitched result is a
@@ -417,11 +417,11 @@ class ShardedMap {
         64);
   }
 
-  /// Per-shard staging: a shard's segment lands here while that shard's
-  /// attempt may still restart (on_restart clears it), and is replayed
-  /// into the user's visitor only once the segment is final. This is
-  /// what keeps one shard's optimistic retry from wiping the pairs an
-  /// earlier shard already delivered.
+  /// Per-shard staging for the skip-list baselines: a shard's segment
+  /// lands here while that shard's attempt may still restart (on_restart
+  /// clears it), and is replayed into the user's visitor only once the
+  /// segment is final. This is what keeps one shard's optimistic retry
+  /// from wiping the pairs an earlier shard already delivered.
   struct Staging {
     std::vector<K> keys;
     std::vector<V> values;
@@ -467,22 +467,38 @@ class ShardedMap {
     }
   }
 
+  /// Forwards one shard's segment into the caller's visitor and notes
+  /// an early stop, so the stitched walk ends at the visitor's last pair.
+  template <typename F>
+  struct Forward {
+    F& fn;
+    bool stopped = false;
+    bool operator()(const K& key, const V& value) {
+      stopped = !core::detail::visit_one(fn, key, value);
+      return !stopped;
+    }
+    void append_run(const K* keys, const V* values, std::size_t n)
+      requires requires(F& f, const K* dk, const V* dv, std::size_t m) {
+        f.append_run(dk, dv, m);
+      }
+    {
+      fn.append_run(keys, values, n);
+    }
+  };
+
   /// The stitched walk inside an open transaction: shards in key order,
-  /// each segment staged against that shard's in-transaction restarts
-  /// (the hybrid-search fallback), then replayed. A whole-transaction
-  /// retry is the enclosing closure's contract.
+  /// each delivering straight into `fn`. A conflict aborts the whole
+  /// transaction, and rolling `fn` back is the enclosing closure's
+  /// contract.
   template <typename F>
   std::size_t stitch_in(stm::Tx& tx, std::size_t first, std::size_t last,
                         const K& low, const K& high, F& fn) const
     requires(Policy::kComposable)
   {
-    Staging stage;
+    Forward<F> sink{fn};
     std::size_t delivered = 0;
-    for (std::size_t s = first; s <= last; ++s) {
-      stage.clear();
-      StageVisitor sink{stage};
-      shards_[s]->for_range_in(tx, low, high, sink);
-      if (!replay(stage, fn, delivered)) break;
+    for (std::size_t s = first; s <= last && !sink.stopped; ++s) {
+      delivered += shards_[s]->for_range_in(tx, low, high, sink);
     }
     return delivered;
   }

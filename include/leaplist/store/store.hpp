@@ -47,6 +47,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -160,13 +161,23 @@ class Store {
 
   /// Merged scan: memtable (stitched ShardedMap scan) merged in key
   /// order with tombstones and every overlapping run, newest source
-  /// wins per key. Same contract as ShardedMap::scan — up to `limit`
-  /// live pairs from `low` upward, appended to `out`; returns the
-  /// count appended. `out` is cleared of any partial round on entry
-  /// growth only, never shrunk below its incoming size.
+  /// wins per key. Same contract as ShardedMap::scan(low, high, ...) —
+  /// up to `limit` live pairs in [low, high], appended to `out`;
+  /// returns the count appended. No source is read past `high`: runs
+  /// lying wholly above it cost no block read. `out` is never shrunk
+  /// below its incoming size. `high` must be a storable key (below
+  /// INT64_MAX).
   using ScanPair = std::pair<std::int64_t, std::int64_t>;
+  std::size_t scan_merged(std::int64_t low, std::int64_t high,
+                          std::size_t limit, std::vector<ScanPair>& out);
+
+  /// scan_merged bounded by `limit` only: up to the largest storable
+  /// key.
   std::size_t scan_merged(std::int64_t low, std::size_t limit,
-                          std::vector<ScanPair>& out);
+                          std::vector<ScanPair>& out) {
+    return scan_merged(low, std::numeric_limits<std::int64_t>::max() - 1,
+                       limit, out);
+  }
 
   /// Flush every shard that has unflushed WAL bytes or tombstones.
   /// Serialized store-wide; safe concurrently with traffic.

@@ -207,16 +207,6 @@ class Tx {
     writes_.push_back({&field, value, 0});
   }
 
-  /// True when the transaction already buffered a write to `field`.
-  /// Composable structure ops use this to detect that their raw
-  /// (uninstrumented) traversal walked a window this transaction has
-  /// itself reshaped, and fall back to an instrumented search. O(1):
-  /// a wide typed-map transaction probes this once per level per op,
-  /// so a linear scan over W buffered writes would go quadratic.
-  bool has_write(const TxFieldBase& field) const noexcept {
-    return write_slot(&field) != kNoSlot;
-  }
-
   /// Deferred side effects for composable ops. A commit action runs
   /// exactly once, after the attempt that registered it commits (victim
   /// retirement); an abort action runs when that attempt aborts for any
@@ -380,7 +370,11 @@ class Tx {
     return true;
   }
 
-  bool owns(const TxFieldBase* field) const { return has_write(*field); }
+  /// True when this transaction buffered a write to `field`. O(1)
+  /// through the write-set index.
+  bool owns(const TxFieldBase* field) const {
+    return write_slot(field) != kNoSlot;
+  }
 
   /// Linear on purpose: it runs after commit_locked() sorted writes_,
   /// which stales the index's positions (membership stays exact — the

@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -41,15 +40,6 @@ constexpr std::size_t kOutHighWater = 256 * 1024;
 constexpr std::size_t kInHighWater = 256 * 1024;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
-
-/// The keys the map can hold: the two extreme int64 values are the
-/// engine's sentinel words, and encoding either one aborts. Scan bounds
-/// are clamped into this window, so a [INT64_MIN, INT64_MAX] scan is
-/// answered like any other.
-constexpr std::int64_t kLowestKey =
-    std::numeric_limits<std::int64_t>::min() + 1;
-constexpr std::int64_t kHighestKey =
-    std::numeric_limits<std::int64_t>::max() - 1;
 
 bool set_nodelay(int fd) {
   int one = 1;
@@ -738,16 +728,13 @@ struct Server::Worker {
     scan_buf.clear();
     const std::uint64_t aborts_before = sample_aborts();
     if (store::Store* st = server.store_.get()) {
-      st->scan_merged(s.next_low, cap, scan_buf);
+      st->scan_merged(s.next_low, s.high, cap, scan_buf);
     } else {
       server.map_.scan(s.next_low, s.high, cap, scan_buf);
     }
     charge_retries(aborts_before);
-    // scan_merged() is bounded below only; clip the tail past `high`.
-    std::size_t n = scan_buf.size();
-    while (n > 0 && scan_buf[n - 1].first > s.high) --n;
-    bool done = n < scan_buf.size()          // clipped at high
-                || scan_buf.size() < cap     // map exhausted
+    const std::size_t n = scan_buf.size();
+    bool done = n < cap  // nothing more up to high
                 || scan_buf[n - 1].first >= s.high;
     if (!done && s.bounded) {
       s.remaining -= n;

@@ -1179,11 +1179,12 @@ std::optional<std::int64_t> Store::get_cold(std::int64_t key) {
   return std::nullopt;
 }
 
-std::size_t Store::scan_merged(std::int64_t low, std::size_t limit,
+std::size_t Store::scan_merged(std::int64_t low, std::int64_t high,
+                               std::size_t limit,
                                std::vector<ScanPair>& out) {
-  if (!open_) return map_.scan(low, limit, out);
+  if (!open_) return map_.scan(low, high, limit, out);
   const std::size_t base = out.size();
-  if (limit == 0) return 0;
+  if (limit == 0 || low > high) return 0;
   std::int64_t cursor = low;
   std::vector<ScanPair> mem;
   struct Tuple {
@@ -1197,12 +1198,12 @@ std::size_t Store::scan_merged(std::int64_t low, std::size_t limit,
   for (;;) {
     const std::size_t want = limit - (out.size() - base);
     const std::size_t chunk = std::max<std::size_t>(want, 2);
-    std::int64_t window_high = kMaxKey;
+    std::int64_t window_high = high;
     bool capped = false;
     tuples.clear();
 
     mem.clear();
-    map_.scan(cursor, chunk, mem);
+    map_.scan(cursor, high, chunk, mem);
     if (mem.size() == chunk) {
       window_high = mem.back().first;
       capped = true;
@@ -1276,7 +1277,7 @@ std::size_t Store::scan_merged(std::int64_t low, std::size_t limit,
         break;
       }
     }
-    if (hit_limit || !capped || window_high >= kMaxKey) break;
+    if (hit_limit || !capped || window_high >= high) break;
     cursor = window_high + 1;
   }
   return out.size() - base;

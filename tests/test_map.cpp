@@ -237,9 +237,9 @@ void test_typed_txn() {
     CHECK_EQ(both[50 + i].first, 2 * i + 1);
   }
   // Read-your-writes through the typed facade: an uncommitted insert is
-  // visible to a later range in the same transaction. The counter rolls
-  // back on restart (the hybrid walk falls back to the instrumented
-  // search when it meets this transaction's own buffered writes).
+  // visible to a later range in the same transaction. The counter is
+  // built inside the closure, so a conflict that re-runs the closure
+  // starts it afresh.
   leap::txn([&](leap::stm::Tx& tx) {
     b.insert_in(tx, 101, 101);
     struct Counter {

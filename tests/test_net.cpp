@@ -188,15 +188,15 @@ void test_golden_request_bytes() {
   CHECK_EQ(reparse_request(buf).key, -2);
 
   buf.clear();
-  append_put(buf, kMin, kMax);
+  append_put(buf, kLowestKey, kMax);
   check_bytes(buf,
               {0x11, 0, 0, 0, 0x02,                             //
-               0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // key
+               0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // key
                0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
               "put");
   const Request put = reparse_request(buf);
   CHECK(put.op == Op::kPut);
-  CHECK_EQ(put.key, kMin);
+  CHECK_EQ(put.key, kLowestKey);
   CHECK_EQ(put.value, kMax);
 
   buf.clear();
@@ -222,20 +222,20 @@ void test_golden_request_bytes() {
 
   buf.clear();
   const std::vector<TxnOp> ops = {
-      {Op::kGet, 5, 0}, {Op::kPut, -3, 258}, {Op::kErase, kMax, 0}};
+      {Op::kGet, 5, 0}, {Op::kPut, -3, 258}, {Op::kErase, kHighestKey, 0}};
   append_txn(buf, ops);
   check_bytes(buf,
               {0x26, 0, 0, 0, 0x05, 0x03, 0x00,                 // n = 3
                0x01, 0x05, 0, 0, 0, 0, 0, 0, 0,                 // get 5
                0x02, 0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // put -3
                0xff, 0x02, 0x01, 0, 0, 0, 0, 0, 0,              // = 258
-               0x03, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+               0x03, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
               "txn");
   const Request txn = reparse_request(buf);
   CHECK_EQ(txn.txn.size(), std::size_t{3});
   CHECK_EQ(txn.txn[1].key, -3);
   CHECK_EQ(txn.txn[1].value, 258);
-  CHECK_EQ(txn.txn[2].key, kMax);
+  CHECK_EQ(txn.txn[2].key, kHighestKey);
 
   buf.clear();
   append_stats_req(buf);
@@ -849,6 +849,49 @@ void test_robustness(Server& server) {
   CHECK(server.stats().errored >= before.errored + 4);
 }
 
+// --- loopback: the key window -----------------------------------------
+// The two extreme int64 keys are the engine's sentinel words, which the
+// map cannot hold. A Get, Put, Erase or Txn sub-op naming one is a bad
+// body: that connection is answered Err::kBadBody and closed, and leapd
+// goes on serving new connections instead of aborting on the key.
+
+void test_extreme_keys_rejected(Server& server) {
+  for (const std::int64_t key : {kMin, kMax}) {
+    std::vector<Bytes> frames(6);
+    append_get(frames[0], key);
+    append_put(frames[1], key, 1);
+    append_erase(frames[2], key);
+    append_txn(frames[3], {{Op::kGet, 5, 0}, {Op::kGet, key, 0}});
+    append_txn(frames[4], {{Op::kPut, key, 1}});
+    append_txn(frames[5], {{Op::kErase, key, 0}});
+    for (const Bytes& frame : frames) {
+      Client client;
+      CHECK(client.connect("127.0.0.1", server.port()));
+      client.queue_raw(frame);
+      CHECK(client.flush());
+      const auto resp = client.read_response();
+      CHECK(resp.has_value());
+      CHECK(resp->status == Status::kError);
+      CHECK_EQ(resp->error, static_cast<std::uint8_t>(Err::kBadBody));
+      CHECK(!client.read_response().has_value());
+      Client fresh;
+      CHECK(fresh.connect("127.0.0.1", server.port()));
+      fresh.queue_get(5);
+      CHECK(fresh.flush());
+      CHECK(fresh.read_response().has_value());
+    }
+  }
+  // The window's own edges are ordinary keys.
+  Client client;
+  CHECK(client.connect("127.0.0.1", server.port()));
+  for (const std::int64_t key : {kLowestKey, kHighestKey}) {
+    CHECK(client.put(key, 3));
+    const auto hit = client.get(key);
+    CHECK(hit.has_value() && *hit == 3);
+    CHECK(client.erase(key));
+  }
+}
+
 // --- loopback: overload / observability -------------------------------
 
 void test_stats_codec_round_trip() {
@@ -1172,6 +1215,7 @@ int main() {
     test_concurrent_clients_vs_oracle(server);
     test_txn_atomicity_across_connections(server);
     test_robustness(server);
+    test_extreme_keys_rejected(server);
     test_stats_opcode(server);
     server.stop();
     CHECK(server.stats().ops > 0);

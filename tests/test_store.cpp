@@ -667,6 +667,101 @@ void test_fault_spec_parse() {
   leap::test::finish("store fault spec parse");
 }
 
+// --- Store: scans bounded at `high` --------------------------------
+
+/// The oracle's pairs in [low, high], at most `limit` of them.
+std::vector<store::Store::ScanPair> oracle_range(const Oracle& oracle,
+                                                 std::int64_t low,
+                                                 std::int64_t high,
+                                                 std::size_t limit) {
+  std::vector<store::Store::ScanPair> want;
+  for (auto it = oracle.lower_bound(low);
+       it != oracle.end() && it->first <= high && want.size() < limit;
+       ++it) {
+    want.push_back(*it);
+  }
+  return want;
+}
+
+void test_store_scan_merged_bounded() {
+  // Run A holds [0, 2999] and run B [5000, 5999]; the memtable then
+  // shadows part of A, adds [3000, 3099] and [7000, 7099], and
+  // tombstones cover every seventh key of A plus [5000, 5009].
+  const std::string dir = make_dir();
+  store::FaultIo fio(store::real_io());
+  MapType map({.shards = 4});
+  store::StoreOptions opts;
+  opts.data_dir = dir;
+  opts.flush_poll_ms = 0;
+  opts.io = &fio;
+  Oracle oracle;
+  store::Store st(map, opts);
+  std::string err;
+  CHECK(st.open(&err));
+  const auto put_range = [&](std::int64_t from, std::int64_t to,
+                             std::int64_t round) {
+    std::vector<store::LogOp> batch;
+    for (std::int64_t k = from; k <= to; ++k) {
+      batch.push_back({false, k, value_of(k, round)});
+      if (batch.size() == 64 || k == to) {
+        apply_batch(st, map, oracle, batch);
+        batch.clear();
+      }
+    }
+  };
+  put_range(0, 2999, 0);
+  st.checkpoint();
+  put_range(5000, 5999, 0);
+  st.checkpoint();
+  CHECK(st.stats().runs >= 2);
+  for (std::int64_t k = 1; k < 200; k += 2) put_range(k, k, 1);
+  put_range(3000, 3099, 0);
+  put_range(7000, 7099, 0);
+  std::vector<store::LogOp> erases;
+  for (std::int64_t k = 0; k < 3000; k += 7) erases.push_back({true, k, 0});
+  for (std::int64_t k = 5000; k < 5010; ++k) erases.push_back({true, k, 0});
+  apply_batch(st, map, oracle, erases);
+
+  struct Query {
+    std::int64_t low;
+    std::int64_t high;
+    std::size_t limit;
+  };
+  const Query queries[] = {{0, 150, 1000},     {0, 2999, 100},
+                           {100, 3050, 5000},  {2990, 5004, 40},
+                           {2990, 5020, 4000}, {3000, 4999, 1000},
+                           {6000, 6999, 10},   {5005, 7050, 100000}};
+  for (const Query& q : queries) {
+    std::vector<store::Store::ScanPair> bounded = {{-5, -5}};
+    const std::size_t got = st.scan_merged(q.low, q.high, q.limit, bounded);
+    CHECK_EQ(got, bounded.size() - 1);
+    bounded.erase(bounded.begin());  // appended after what was there
+    std::vector<store::Store::ScanPair> clipped;
+    st.scan_merged(q.low, q.limit, clipped);
+    while (!clipped.empty() && clipped.back().first > q.high) {
+      clipped.pop_back();
+    }
+    CHECK(bounded == clipped);
+    CHECK(bounded == oracle_range(oracle, q.low, q.high, q.limit));
+  }
+
+  // [3000, 4999] lies between the runs: A ends below it and B starts
+  // above it, so the memtable answers alone, without one block read.
+  fio.arm({.point = store::FaultPoint::kRead,
+           .nth = std::numeric_limits<std::uint64_t>::max()});
+  std::vector<store::Store::ScanPair> between;
+  CHECK_EQ(st.scan_merged(3000, 4999, 1000, between), std::size_t{100});
+  CHECK_EQ(fio.matched_calls(), std::uint64_t{0});
+  // The same scan unbounded above does read run B.
+  between.clear();
+  st.scan_merged(3000, 1000, between);
+  CHECK(fio.matched_calls() > 0);
+  fio.disarm();
+  st.close();
+  remove_dir(dir);
+  leap::test::finish("store scan_merged bounded");
+}
+
 void test_store_open_enospc() {
   // Preallocation failing at open (a full disk) must surface a clear
   // error from Store::open, not a silent degraded store.
@@ -699,6 +794,7 @@ int main() {
   test_store_reopen_recovery();
   test_store_torn_tail();
   test_store_fsync_modes();
+  test_store_scan_merged_bounded();
   test_fault_spec_parse();
   test_store_open_enospc();
   return leap::test::failure_count() == 0 ? 0 : 1;

@@ -3,7 +3,7 @@
 //
 // Functional: multi-list inserts/moves/range snapshots in single
 // transactions, same-list multi-op transactions (read-your-writes
-// through the hybrid search fallback), split-inducing bulk updates
+// through the instrumented search), split-inducing bulk updates
 // inside one transaction, and return-value plumbing.
 //
 // Stress (the cross-list atomicity test TSan runs): writer threads
