@@ -15,14 +15,30 @@
 // std::lower_bound vs the shipped branchless flat_lower_bound. (A
 // PATRICIA bit trie was measured here too and lost at every node size;
 // docs/benchmarks.md keeps that result.)
+//
+// The third table splits a burst get's cost the way leapd serves it:
+// ns per get at run lengths 1..32 for the span get_in (one interleaved
+// search per run), a get_in per key inside the same transaction, and
+// the raw Leap-LT get, on 1M scrambled-zipfian keys over 8 shards
+// (100K under LEAP_BENCH_SMOKE). Every answer of the three is checked
+// against the preload; a mismatch fails the run (the smoke ctest keys
+// off that, not off the timings).
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <iostream>
+#include <limits>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "harness/table.hpp"
 #include "harness/workload.hpp"
 #include "leaplist/leaplist.hpp"
+#include "leaplist/sharded.hpp"
+#include "leaplist/txn.hpp"
 #include "util/random.hpp"
+#include "../perfbench/src/workload.hpp"
 
 using namespace leap::core;
 using leap::harness::Table;
@@ -89,6 +105,102 @@ double measure_searches(ProbeList& list, SearchFn&& search, int seconds_ms) {
          (static_cast<double>(seconds_ms) / 1000.0);
 }
 
+/// The burst-get table; returns the number of wrong answers.
+std::size_t burst_gets(int window_ms) {
+  using Word = std::int64_t;
+  using TMMap = leap::ShardedMap<Word, Word, leap::policy::TM>;
+  using LTMap = leap::ShardedMap<Word, Word, leap::policy::LT>;
+  const Word n = leap::harness::smoke_mode() ? 100'000 : 1'000'000;
+  const leap::ShardOptions opts{.shards = 8, .params = {}};
+  TMMap tm(opts, 0, n);
+  LTMap lt(opts, 0, n);
+  // Every key of [0, n) but the multiples of 16, so some gets miss.
+  const auto expect = [n](Word key) -> std::optional<Word> {
+    if (key < 0 || key >= n || key % 16 == 0) return std::nullopt;
+    return key * 7 + 1;
+  };
+  {
+    std::vector<std::pair<Word, Word>> pairs;
+    for (Word k = 0; k < n; ++k) {
+      if (const auto v = expect(k)) pairs.emplace_back(k, *v);
+    }
+    tm.bulk_load(pairs);
+    lt.bulk_load(pairs);
+  }
+  // perfbench's read-zipf draw (theta 0.99, rank hashed onto the keys).
+  const perf::ScrambledZipf zipf(static_cast<std::uint64_t>(n), 0.99);
+  leap::util::Xoshiro256 rng(1404);
+  std::vector<Word> keys(std::size_t{1} << 15);
+  for (Word& k : keys) k = static_cast<Word>(zipf.next(rng));
+  // The domain edges are ordinary (absent) keys.
+  keys[1] = std::numeric_limits<Word>::min() + 1;
+  keys[2] = std::numeric_limits<Word>::max() - 1;
+
+  // Each serves one run of keys into `out`. keys.size() is a multiple
+  // of every run length, so the runs tile it.
+  const auto interleaved = [&](std::span<const Word> run,
+                               std::optional<Word>* out) {
+    leap::txn([&](leap::stm::Tx& tx) {
+      tm.get_in(tx, run, std::span<std::optional<Word>>(out, run.size()));
+    });
+  };
+  const auto sequential = [&](std::span<const Word> run,
+                              std::optional<Word>* out) {
+    leap::txn([&](leap::stm::Tx& tx) {
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        out[i] = tm.get_in(tx, run[i]);
+      }
+    });
+  };
+  const auto lt_get = [&](std::span<const Word> run,
+                          std::optional<Word>* out) {
+    for (std::size_t i = 0; i < run.size(); ++i) out[i] = lt.get(run[i]);
+  };
+  std::size_t wrong = 0;
+  // One checked pass over every key, then ns per get over the window.
+  const auto measure = [&](auto&& serve, std::size_t len) {
+    std::vector<std::optional<Word>> hits(keys.size());
+    for (std::size_t at = 0; at < keys.size(); at += len) {
+      serve(std::span<const Word>(keys.data() + at, len), hits.data() + at);
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (hits[i] != expect(keys[i])) ++wrong;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    const auto deadline = start + std::chrono::milliseconds(window_ms);
+    std::uint64_t gets = 0;
+    std::size_t at = 0;
+    while (std::chrono::steady_clock::now() < deadline) {
+      for (int r = 0; r < 64; ++r) {
+        if (at == keys.size()) at = 0;
+        serve(std::span<const Word>(keys.data() + at, len), hits.data() + at);
+        at += len;
+        gets += len;
+      }
+    }
+    const double ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    return ns / static_cast<double>(gets);
+  };
+  Table table({"gets/run", "span get_in ns", "get_in x run ns", "LT get ns",
+               "span/seq"});
+  for (const std::size_t len : {1u, 4u, 8u, 16u, 32u}) {
+    const double span_ns = measure(interleaved, len);
+    const double seq_ns = measure(sequential, len);
+    const double lt_ns = measure(lt_get, len);
+    char cells[3][32];
+    std::snprintf(cells[0], sizeof cells[0], "%.0f", span_ns);
+    std::snprintf(cells[1], sizeof cells[1], "%.0f", seq_ns);
+    std::snprintf(cells[2], sizeof cells[2], "%.0f", lt_ns);
+    table.add_row({std::to_string(len), cells[0], cells[1], cells[2],
+                   Table::format_ratio(span_ns / seq_ns)});
+  }
+  table.print(std::cout);
+  return wrong;
+}
+
 }  // namespace
 
 int main() {
@@ -125,7 +237,9 @@ int main() {
         leap::stm::Tx& tx = leap::stm::tls_tx();
         SearchResult sr;
         leap::stm::atomically(tx, [&](leap::stm::Tx& t) {
-          sr = search_predecessors_tx(t, head, max_level, k);
+          Probe p{.x = head, .level = max_level - 1, .key = k,
+                  .window = &sr};
+          search_tx(t, std::span<Probe>(&p, 1));
         });
         return sr;
       },
@@ -186,6 +300,18 @@ int main() {
                                           std::max(std_lb, 1.0))});
     }
     innode.print(std::cout);
+  }
+
+  leap::harness::print_figure_header(
+      std::cout, "Ablation: burst gets, interleaved vs one descent at a time",
+      "ns per get, scrambled zipf over 8 shards, one transaction per run",
+      "the span get_in pulls ahead from 4 gets per run; a run of 1 costs "
+      "a bit more");
+  const std::size_t wrong = burst_gets(window);
+  if (wrong != 0) {
+    std::fprintf(stderr, "abl_search: %zu burst gets answered wrong\n",
+                 wrong);
+    return 1;
   }
   return 0;
 }

@@ -19,11 +19,11 @@
 //                then validation + pointer swing inside one commit
 //                transaction.
 //   LeapListTM   fully transactional: even the traversal is
-//                instrumented (search_predecessors_tx). Uniquely among
-//                the variants it also composes: the `*_in` forms enlist
-//                in a caller-owned transaction (leaplist/txn.hpp), so
-//                one transaction can update and range-query several
-//                lists as one atomic unit.
+//                instrumented (search_tx). Uniquely among the
+//                variants it also composes: the `*_in` forms enlist in
+//                a caller-owned transaction (leaplist/txn.hpp), so one
+//                transaction can update and range-query several lists
+//                as one atomic unit.
 //   LeapListRW   global std::shared_mutex baseline.
 #pragma once
 
@@ -40,6 +40,7 @@
 #include <new>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -348,12 +349,16 @@ inline std::mutex& stripe_lock(std::size_t stripe) noexcept {
   return locks[stripe].mu;
 }
 
+inline void prefetch(const void* addr) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(addr);
+#endif
+}
+
 /// Prefetch a node's first key cache line; issued during the index
 /// descent so the line lands before the in-node search needs it.
 inline void prefetch_keys(const Node* node) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(static_cast<const void*>(node->keys()));
-#endif
+  prefetch(node->keys());
 }
 
 }  // namespace detail
@@ -442,28 +447,150 @@ inline SearchResult search_predecessors(Node* head, int max_level, Key key) {
   }
 }
 
-/// Fully instrumented search (what Leap-tm pays, §2.1): every pointer
-/// hop is a transactional read, validated at commit. Aborts on marks.
-inline SearchResult search_predecessors_tx(stm::Tx& tx, Node* head,
-                                           int max_level, Key key) {
-  SearchResult result;
-  Node* x = head;
-  for (int i = max_level - 1; i >= 0; --i) {
-    Node* x_next = nullptr;
-    while (true) {
-      const std::uint64_t word = x->next(i).tx_read(tx);
-      if (util::is_marked(word)) tx.abort();
-      x_next = util::to_ptr<Node>(word);
-      if (x_next->high_raw() >= key) {
-        if (i <= 1) detail::prefetch_keys(x_next);
-        break;
-      }
-      x = x_next;
+/// Most probes one search_tx call walks together; callers with longer
+/// runs split them into calls of at most this many. The lanes live in
+/// a stack array, and leapd's runs of gets average under 8 on
+/// read-zipf, so the cap rarely splits one (abl_search still measures
+/// a gain per get from 16 to 32 lanes).
+inline constexpr std::size_t kSearchLanes = 32;
+
+/// One lane of the interleaved instrumented search: a key to find in
+/// one list, and where it lands. LeapListTM::probe builds one.
+struct Probe {
+  // In: the list's head and top level, where the descent starts; then
+  // the lane's position while it runs (x = predecessor at `level`).
+  Node* x = nullptr;
+  int level = 0;
+  Key key = 0;
+  /// When set, receives the window at every level (pa/na), which an
+  /// update needs; point reads and scans leave it null.
+  SearchResult* window = nullptr;
+  /// Out: the level-0 cover node (first node with high >= key) and
+  /// key's lower-bound slot in it.
+  Node* node = nullptr;
+  std::uint32_t slot = 0;
+  // Lane state: the in-node lower bound's keys[base, base + span), and
+  // x's successor at `level`, read and prefetched.
+  std::uint32_t base = 0;
+  std::uint32_t span = 0;
+  Node* cand = nullptr;
+};
+
+namespace detail {
+
+/// Start the two lines the lane's next round reads: cand's header (its
+/// `high`) and the line holding cand->next(level). Address arithmetic
+/// only; nothing of cand is read here.
+inline void prefetch_hop(const Node* cand, int level) noexcept {
+  prefetch(cand);
+  prefetch(reinterpret_cast<const std::byte*>(cand) + kNodeHeaderBytes +
+           static_cast<std::size_t>(level) *
+               sizeof(stm::TxField<std::uint64_t>));
+}
+
+/// One hop: x's level-`level` successor, read through the transaction.
+/// A marked word means x was replaced under us: abort the attempt.
+inline Node* hop_tx(stm::Tx& tx, Node* x, int level) {
+  const std::uint64_t word = x->next(level).tx_read(tx);
+  if (util::is_marked(word)) tx.abort();
+  return util::to_ptr<Node>(word);
+}
+
+// A lane's phases, by `level`: >= 0 descending, kBounding while the
+// in-node lower bound runs, kLanded once `slot` is set.
+inline constexpr int kBounding = -1;
+inline constexpr int kLanded = -2;
+
+/// Read a lane's first hop: its head at the top level.
+inline void lane_start(stm::Tx& tx, Probe& p) {
+  p.cand = hop_tx(tx, p.x, p.level);
+  prefetch_hop(p.cand, p.level);
+}
+
+/// One round of a lane's descent: compare the prefetched candidate,
+/// then drop a level or step right, and read (and prefetch) the next
+/// hop. Returns false once the lane lands on its level-0 cover node;
+/// the node's middle key, the lower bound's first compare, is then
+/// on its way.
+inline bool descend_step(stm::Tx& tx, Probe& p) {
+  if (p.cand->high_raw() >= p.key) {
+    if (p.window != nullptr) {
+      p.window->pa[p.level] = p.x;
+      p.window->na[p.level] = p.cand;
     }
-    result.pa[i] = x;
-    result.na[i] = x_next;
+    if (p.level == 0) {
+      Node* node = p.cand;
+      p.node = node;
+      p.level = kBounding;
+      p.base = 0;
+      p.span = node->count;
+      if (p.span > 1) prefetch(node->keys() + p.span / 2 - 1);
+      return false;
+    }
+    --p.level;
+  } else {
+    p.x = p.cand;
   }
-  return result;
+  p.cand = hop_tx(tx, p.x, p.level);
+  prefetch_hop(p.cand, p.level);
+  return true;
+}
+
+/// One halving step of flat_lower_bound over the landed node's keys,
+/// prefetching the one key the next step compares. Returns false once
+/// the bound is found and `slot` set.
+inline bool bound_step(Probe& p) {
+  const Key* keys = p.node->keys();
+  if (p.span <= 1) {
+    p.slot = p.base +
+             static_cast<std::uint32_t>(p.span == 1 && keys[p.base] < p.key);
+    p.level = kLanded;
+    return false;
+  }
+  const std::uint32_t half = p.span / 2;
+  p.base += (keys[p.base + half - 1] < p.key) ? half : 0;
+  p.span -= half;
+  if (p.span > 1) prefetch(keys + p.base + p.span / 2 - 1);
+  return true;
+}
+
+}  // namespace detail
+
+/// The fully instrumented search (what Leap-tm pays, §2.1), run over a
+/// span of probes in lockstep. Every hop is a transactional read,
+/// validated at commit, exactly as in a one-key descent; what changes
+/// is the order. A descent is a chain of dependent cache misses (about
+/// twenty node headers, then the binary search inside the node), but
+/// the descents of different keys are independent, so:
+///   * each round advances every unfinished lane by one hop and
+///     prefetches the node it compares next, so one round's misses
+///     overlap instead of queueing;
+///   * a lane that lands prefetches its node's middle key, and the
+///     branchless lower bound then runs interleaved the same way, one
+///     halving step per lane per round.
+/// With one probe it is the plain descent. The lanes may sit in
+/// different lists (ShardedMap sends each key to its shard), and may
+/// repeat a key.
+inline void search_tx(stm::Tx& tx, std::span<Probe> lanes) {
+  assert(lanes.size() <= kSearchLanes);
+  for (Probe& p : lanes) detail::lane_start(tx, p);
+  for (std::size_t live = lanes.size(); live > 0;) {
+    for (Probe& p : lanes) {
+      if (p.level >= 0 && !detail::descend_step(tx, p)) --live;
+    }
+  }
+  for (std::size_t live = lanes.size(); live > 0;) {
+    for (Probe& p : lanes) {
+      if (p.level == detail::kBounding && !detail::bound_step(p)) --live;
+    }
+  }
+}
+
+/// The value a landed probe found, or nullopt when its key is absent.
+inline std::optional<Value> probe_value(const Probe& p) {
+  const Node* n = p.node;
+  if (p.slot == n->count || n->keys()[p.slot] != p.key) return std::nullopt;
+  return n->values()[p.slot];
 }
 
 class LeapListBase {
@@ -972,10 +1099,18 @@ class LeapListBase {
   // transaction — leap::txn does.
   //
   // Every txn_* operation takes its window from the instrumented search
-  // (search_predecessors_tx), the paper's Leap-tm discipline: each hop
+  // (search_tx with one probe), the paper's Leap-tm discipline: each hop
   // is a tx_read, so the window is validated with everything else the
   // transaction read, and this transaction's own buffered writes are
-  // read back. A raw search cannot see TL2 write locks. It can return a
+  // read back. A run of point reads may share one search_tx call
+  // (LeapListTM::probe, Map/ShardedMap's span get_in): the lanes walk
+  // in lockstep so their cache misses overlap, but each lane reads
+  // exactly the words its own descent would, through the same tx_read,
+  // so the read set, commit validation and aborts are unchanged. The
+  // read set still logs every hop of every lane, including the upper
+  // levels that lanes share.
+  //
+  // A raw search cannot see TL2 write locks. It can return a
   // window that a concurrent commit (ordered before this transaction)
   // is still writing back: an update planned on one wedged two workers
   // committing to one shard (tests/test_sharded.cpp's update-wedge
@@ -1000,11 +1135,24 @@ class LeapListBase {
     });
   }
 
+  /// A probe of this list for search_tx.
+  Probe probe(Key key) const {
+    return Probe{.x = head_, .level = params_.max_level - 1, .key = key};
+  }
+
+  /// The window around `key`, through the one-lane search.
+  SearchResult window_tx(stm::Tx& tx, Key key) const {
+    SearchResult sr;
+    Probe p = probe(key);
+    p.window = &sr;
+    search_tx(tx, std::span<Probe>(&p, 1));
+    return sr;
+  }
+
   bool txn_insert(stm::Tx& tx, Key key, Value value) {
     assert_user_key(key);
     assert(tx.in_tx());
-    const SearchResult sr =
-        search_predecessors_tx(tx, head_, params_.max_level, key);
+    const SearchResult sr = window_tx(tx, key);
     Node* n = sr.na[0];
     const Replacement plan = plan_insert(n, key, value);
     enlist_swap(tx, n, plan);
@@ -1014,8 +1162,7 @@ class LeapListBase {
 
   bool txn_erase(stm::Tx& tx, Key key) {
     assert(tx.in_tx());
-    const SearchResult sr =
-        search_predecessors_tx(tx, head_, params_.max_level, key);
+    const SearchResult sr = window_tx(tx, key);
     Node* n = sr.na[0];
     Node* n1 = plan_erase(n, key);
     if (n1 == nullptr) return false;  // absent; the search read pins it
@@ -1029,12 +1176,9 @@ class LeapListBase {
 
   std::optional<Value> txn_get(stm::Tx& tx, Key key) const {
     assert(tx.in_tx());
-    const SearchResult sr =
-        search_predecessors_tx(tx, head_, params_.max_level, key);
-    const Node* n = sr.na[0];
-    const int idx = find_in(n, key);
-    if (idx < 0) return std::nullopt;
-    return n->values()[idx];
+    Probe p = probe(key);
+    search_tx(tx, std::span<Probe>(&p, 1));
+    return probe_value(p);
   }
 
   /// Visitor-driven in-transaction range scan. The visitor runs during
@@ -1047,9 +1191,9 @@ class LeapListBase {
   std::size_t txn_for_range(stm::Tx& tx, Key low, Key high, F&& fn) const {
     assert(tx.in_tx());
     std::size_t count = 0;
-    const SearchResult sr =
-        search_predecessors_tx(tx, head_, params_.max_level, low);
-    Node* n = sr.na[0];
+    Probe p = probe(low);
+    search_tx(tx, std::span<Probe>(&p, 1));
+    Node* n = p.node;
     while (true) {
       if (!visit_node(n, low, high, fn, count)) break;
       if (n->high_raw() >= high) break;
@@ -1276,11 +1420,16 @@ class LeapListCOP : public LeapListBase {
 /// lists, update several lists, and take multi-list range snapshots as
 /// one atomic unit. Every operation, composable or single-op, reaches
 /// its window through the paper's fully instrumented search
-/// (search_predecessors_tx). Single-op forms flat-nest into an
-/// enclosing leap::txn when called from one.
+/// (search_tx). Single-op forms flat-nest into an enclosing leap::txn
+/// when called from one.
 class LeapListTM : public LeapListBase {
  public:
   using LeapListBase::LeapListBase;
+
+  /// A probe of this list for search_tx: a run of point reads, over
+  /// one list or several, shares one interleaved search (read each
+  /// answer back with probe_value).
+  using LeapListBase::probe;
 
   // Composable forms — require an open transaction.
   bool insert_in(stm::Tx& tx, Key key, Value value) {

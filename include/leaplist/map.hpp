@@ -33,8 +33,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -81,6 +83,31 @@ template <typename Vec>
 auto append_to(Vec& out) {
   return core::detail::Appender<Vec>(out);
 }
+
+namespace detail {
+
+/// The span get_in body Map and ShardedMap share: `lane(key)` builds
+/// one key's probe (in whichever list holds it), and every run of up to
+/// core::kSearchLanes keys goes through one interleaved search_tx.
+/// out[i] answers keys[i].
+template <typename ValueCodec, typename K, typename V, typename Lane>
+void get_run_in(stm::Tx& tx, std::span<const K> keys,
+                std::span<std::optional<V>> out, Lane&& lane) {
+  assert(out.size() == keys.size());
+  core::Probe lanes[core::kSearchLanes];
+  for (std::size_t at = 0; at < keys.size(); at += core::kSearchLanes) {
+    const std::size_t len = std::min(core::kSearchLanes, keys.size() - at);
+    for (std::size_t i = 0; i < len; ++i) lanes[i] = lane(keys[at + i]);
+    core::search_tx(tx, std::span<core::Probe>(lanes, len));
+    for (std::size_t i = 0; i < len; ++i) {
+      const auto word = core::probe_value(lanes[i]);
+      out[at + i] = word ? std::optional<V>(ValueCodec::decode(*word))
+                         : std::nullopt;
+    }
+  }
+}
+
+}  // namespace detail
 
 /// A materialized range snapshot: captured through one range
 /// visitation (with whatever consistency the capturing map's policy
@@ -273,6 +300,19 @@ class Map {
     const auto word = engine_.get_in(tx, KeyCodec::encode(key));
     if (!word) return std::nullopt;
     return ValueCodec::decode(*word);
+  }
+
+  /// Span form: out[i] = the value at keys[i] (sizes must match). The
+  /// descents run interleaved, core::kSearchLanes keys per search, so
+  /// their cache misses overlap; the reads are the same tx_reads a
+  /// get_in per key would make.
+  void get_in(stm::Tx& tx, std::span<const K> keys,
+              std::span<std::optional<V>> out) const
+    requires(Policy::kComposable)
+  {
+    detail::get_run_in<ValueCodec>(tx, keys, out, [this](const K& key) {
+      return engine_.probe(KeyCodec::encode(key));
+    });
   }
 
   template <typename F>

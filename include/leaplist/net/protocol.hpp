@@ -112,8 +112,9 @@ inline constexpr std::size_t kBatchHistBuckets = 8;
 
 /// u64 words in a Stats response body (after the count byte). A body
 /// whose count differs is malformed — both sides pin the layout.
-/// 11 serving-layer counters + 11 store counters + the batch histogram.
-inline constexpr std::size_t kStatsWords = 22 + kBatchHistBuckets;
+/// 11 serving-layer counters + 11 store counters + 2 get-run counters +
+/// the batch histogram.
+inline constexpr std::size_t kStatsWords = 24 + kBatchHistBuckets;
 
 /// Server counters as carried by the Stats opcode. The wire layout is
 /// the fields below in declaration order, each a u64le; `batch_hist`
@@ -145,6 +146,11 @@ struct StatsSnapshot {
   std::uint64_t store_fail_stop = 0;  // 1 once the store is read-only
   std::uint64_t corrupt_blocks = 0;   // run-block CRC/read failures
   std::uint64_t checkpoint_retries = 0;  // failed flush attempts
+  // Point bursts' runs of consecutive gets, each answered by one span
+  // get_in (interleaved descents); get_run_ops / get_runs is the mean
+  // run length.
+  std::uint64_t get_runs = 0;     // runs of consecutive gets in bursts
+  std::uint64_t get_run_ops = 0;  // gets inside those runs
   std::uint64_t batch_hist[kBatchHistBuckets] = {};
 };
 
@@ -224,6 +230,8 @@ inline constexpr std::uint64_t StatsSnapshot::* kStatsFields[] = {
     &StatsSnapshot::store_fail_stop,
     &StatsSnapshot::corrupt_blocks,
     &StatsSnapshot::checkpoint_retries,
+    &StatsSnapshot::get_runs,
+    &StatsSnapshot::get_run_ops,
 };
 static_assert(std::size(kStatsFields) + kBatchHistBuckets == kStatsWords);
 

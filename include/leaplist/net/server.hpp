@@ -135,6 +135,8 @@ class Server {
   std::atomic<std::uint64_t> stm_retries_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batch_ops_{0};
+  std::atomic<std::uint64_t> get_runs_{0};
+  std::atomic<std::uint64_t> get_run_ops_{0};
   std::atomic<std::uint64_t> queue_hwm_{0};
   std::atomic<std::uint64_t> accept_pauses_{0};
   std::atomic<std::uint64_t> emfile_sheds_{0};

@@ -58,6 +58,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -263,6 +264,19 @@ class ShardedMap {
     requires(Policy::kComposable)
   {
     return shards_[shard_of(key)]->get_in(tx, key);
+  }
+
+  /// Span form: out[i] = the value at keys[i] (sizes must match). Each
+  /// key goes to its shard, and one interleaved search walks all their
+  /// descents together (Map::get_in's span form, across shards).
+  void get_in(stm::Tx& tx, std::span<const K> keys,
+              std::span<std::optional<V>> out) const
+    requires(Policy::kComposable)
+  {
+    detail::get_run_in<ValueCodec>(tx, keys, out, [this](const K& key) {
+      const core::Key word = KeyCodec::encode(key);
+      return shards_[route(word)]->engine().probe(word);
+    });
   }
 
   template <typename F>

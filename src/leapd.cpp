@@ -33,7 +33,7 @@
 // scripts/net_smoke.sh keys off both lines. While serving, a stats
 // line prints every --stats-interval seconds (0 disables):
 //   leapd: stats ops=... shed=... queue=<now>/<hwm> retries=...
-//   batches=... pauses=... emfile=...
+//   batches=... get_runs=... get_run_ops=... pauses=... emfile=...
 // and one final such line follows the shutdown report. With --data-dir
 // a second line accompanies each:
 //   leapd: store stats wal_appends=... wal_fsyncs=... group_ops=...
@@ -122,13 +122,16 @@ struct Args {
 void print_stats_line(const leap::net::ServerStats& s, bool store_on) {
   std::printf(
       "leapd: stats ops=%llu shed=%llu queue=%llu/%llu retries=%llu "
-      "batches=%llu pauses=%llu emfile=%llu\n",
+      "batches=%llu get_runs=%llu get_run_ops=%llu pauses=%llu "
+      "emfile=%llu\n",
       static_cast<unsigned long long>(s.ops),
       static_cast<unsigned long long>(s.shed),
       static_cast<unsigned long long>(s.queued_now),
       static_cast<unsigned long long>(s.queue_hwm),
       static_cast<unsigned long long>(s.stm_retries),
       static_cast<unsigned long long>(s.batches),
+      static_cast<unsigned long long>(s.get_runs),
+      static_cast<unsigned long long>(s.get_run_ops),
       static_cast<unsigned long long>(s.accept_pauses),
       static_cast<unsigned long long>(s.emfile_sheds));
   if (store_on) {

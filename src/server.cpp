@@ -103,6 +103,8 @@ struct Server::Worker {
     std::atomic<std::uint64_t> stm_retries{0};
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> batch_ops{0};
+    std::atomic<std::uint64_t> get_runs{0};
+    std::atomic<std::uint64_t> get_run_ops{0};
     std::atomic<std::uint64_t> queue_hwm{0};
     std::atomic<std::uint64_t> accept_pauses{0};
     std::atomic<std::uint64_t> emfile_sheds{0};
@@ -128,6 +130,8 @@ struct Server::Worker {
   // Scratch reused across requests (capacity persists).
   std::vector<Request> batch;
   std::vector<TxnResult> results;
+  std::vector<std::int64_t> run_keys;
+  std::vector<std::optional<std::int64_t>> run_hits;
   std::vector<std::pair<std::int64_t, std::int64_t>> scan_buf;
   std::vector<store::LogOp> log_ops;
   // Distinct addresses tagging the non-connection epoll registrations.
@@ -573,6 +577,48 @@ struct Server::Worker {
     }
   }
 
+  /// Answer batch[from, to), a run of consecutive gets, into
+  /// results[from, to) through the span get_in: one interleaved search
+  /// walks all the run's descents together.
+  void get_run(stm::Tx& tx, std::size_t from, std::size_t to) {
+    run_keys.clear();
+    for (std::size_t i = from; i < to; ++i) run_keys.push_back(batch[i].key);
+    run_hits.resize(to - from);
+    server.map_.get_in(tx, run_keys, run_hits);
+    for (std::size_t i = from; i < to; ++i) {
+      const std::optional<std::int64_t>& hit = run_hits[i - from];
+      results[i].flag = hit.has_value() ? 1 : 0;
+      results[i].value = hit.value_or(0);
+    }
+  }
+
+  /// One attempt at the burst: each maximal run of consecutive gets goes
+  /// through get_run, and a put or erase ends the run, so every get
+  /// still reads the writes before it in FIFO order. With
+  /// `apply_writes` false the mutations are skipped (and answer flag 0).
+  void run_burst(stm::Tx& tx, bool apply_writes) {
+    Server::MapType& map = server.map_;
+    results.assign(batch.size(), TxnResult{});
+    for (std::size_t i = 0; i < batch.size();) {
+      const Request& req = batch[i];
+      if (req.op == Op::kGet) {
+        std::size_t end = i + 1;
+        while (end < batch.size() && batch[end].op == Op::kGet) ++end;
+        get_run(tx, i, end);
+        i = end;
+        continue;
+      }
+      if (apply_writes) {
+        const bool done = req.op == Op::kPut
+                              ? map.insert_in(tx, req.key, req.value)
+                              // kErase; parse_request admits nothing else
+                              : map.erase_in(tx, req.key);
+        results[i].flag = done ? 1 : 0;
+      }
+      ++i;
+    }
+  }
+
   /// Execute `batch` (point ops only) as ONE transaction and append
   /// the per-op response frames in order. The closure may re-run on
   /// conflict, so results are (re)collected per attempt and frames are
@@ -582,30 +628,17 @@ struct Server::Worker {
     counters.batch_ops.fetch_add(batch.size(), std::memory_order_relaxed);
     counters.batch_hist[batch_hist_bucket(batch.size())].fetch_add(
         1, std::memory_order_relaxed);
+    std::uint64_t runs = 0, run_ops = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (batch[i].op != Op::kGet) continue;
+      ++run_ops;
+      if (i == 0 || batch[i - 1].op != Op::kGet) ++runs;
+    }
+    counters.get_runs.fetch_add(runs, std::memory_order_relaxed);
+    counters.get_run_ops.fetch_add(run_ops, std::memory_order_relaxed);
     const std::uint64_t aborts_before = sample_aborts();
-    Server::MapType& map = server.map_;
     const auto apply = [&] {
-      leap::txn([&](stm::Tx& tx) {
-        results.clear();
-        for (const Request& req : batch) {
-          TxnResult r;
-          switch (req.op) {
-            case Op::kGet: {
-              const auto hit = map.get_in(tx, req.key);
-              r.flag = hit.has_value() ? 1 : 0;
-              r.value = hit.value_or(0);
-              break;
-            }
-            case Op::kPut:
-              r.flag = map.insert_in(tx, req.key, req.value) ? 1 : 0;
-              break;
-            default:  // kErase; parse_request admits nothing else here
-              r.flag = map.erase_in(tx, req.key) ? 1 : 0;
-              break;
-          }
-          results.push_back(r);
-        }
-      });
+      leap::txn([&](stm::Tx& tx) { run_burst(tx, true); });
     };
     const bool durable = durable_apply(batch, apply);
     charge_retries(aborts_before);
@@ -615,18 +648,7 @@ struct Server::Worker {
       // logged, so it must never look acked), but the gets still
       // deserve answers — re-read them in a read-only txn so they
       // reflect the current (read-only-from-here) map state.
-      leap::txn([&](stm::Tx& tx) {
-        results.clear();
-        for (const Request& req : batch) {
-          TxnResult r;
-          if (req.op == Op::kGet) {
-            const auto hit = map.get_in(tx, req.key);
-            r.flag = hit.has_value() ? 1 : 0;
-            r.value = hit.value_or(0);
-          }
-          results.push_back(r);
-        }
-      });
+      leap::txn([&](stm::Tx& tx) { run_burst(tx, false); });
       patch_cold_gets(batch);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (batch[i].op == Op::kGet) {
@@ -886,6 +908,10 @@ void Server::stop() {
                        std::memory_order_relaxed);
     batch_ops_.fetch_add(c.batch_ops.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
+    get_runs_.fetch_add(c.get_runs.load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+    get_run_ops_.fetch_add(c.get_run_ops.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
     accept_pauses_.fetch_add(c.accept_pauses.load(std::memory_order_relaxed),
                              std::memory_order_relaxed);
     emfile_sheds_.fetch_add(c.emfile_sheds.load(std::memory_order_relaxed),
@@ -922,6 +948,8 @@ ServerStats Server::stats() const {
   s.stm_retries = stm_retries_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.batch_ops = batch_ops_.load(std::memory_order_relaxed);
+  s.get_runs = get_runs_.load(std::memory_order_relaxed);
+  s.get_run_ops = get_run_ops_.load(std::memory_order_relaxed);
   s.queue_hwm = queue_hwm_.load(std::memory_order_relaxed);
   s.accept_pauses = accept_pauses_.load(std::memory_order_relaxed);
   s.emfile_sheds = emfile_sheds_.load(std::memory_order_relaxed);
@@ -936,6 +964,8 @@ ServerStats Server::stats() const {
     s.stm_retries += c.stm_retries.load(std::memory_order_relaxed);
     s.batches += c.batches.load(std::memory_order_relaxed);
     s.batch_ops += c.batch_ops.load(std::memory_order_relaxed);
+    s.get_runs += c.get_runs.load(std::memory_order_relaxed);
+    s.get_run_ops += c.get_run_ops.load(std::memory_order_relaxed);
     s.accept_pauses += c.accept_pauses.load(std::memory_order_relaxed);
     s.emfile_sheds += c.emfile_sheds.load(std::memory_order_relaxed);
     s.queue_hwm =

@@ -89,6 +89,10 @@ void test_scan_linearizability(const char* name) {
   constexpr unsigned kRangeReaders = 2;
   constexpr unsigned kScanReaders = 1;
   constexpr unsigned kCursorReaders = 1;
+  const auto window =
+      leap::test::stress_duration(std::chrono::milliseconds(400));
+  const leap::test::Watchdog watchdog("scan linearizability stress",
+                                      window + std::chrono::seconds(30));
   using M = leap::ShardedMap<std::int64_t, std::int64_t, P>;
   M map(ShardOptions{.shards = 8,
                      .params = Params{.node_size = 16, .max_level = 6}},
@@ -172,8 +176,7 @@ void test_scan_linearizability(const char* name) {
     });
   }
   barrier.arrive_and_wait();
-  std::this_thread::sleep_for(
-      leap::test::stress_duration(std::chrono::milliseconds(400)));
+  std::this_thread::sleep_for(window);
   stop.store(true, std::memory_order_release);
   for (auto& thread : threads) thread.join();
   // Quiescent agreement: movers finish their insert+erase pairs, so

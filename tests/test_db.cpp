@@ -94,6 +94,9 @@ void test_functional(const char* name, RowId stride, Args&&... args) {
 }
 
 void test_concurrent_smoke() {
+  // Bounded by op count, not a window: 60 s is ample under TSan too.
+  const leap::test::Watchdog watchdog("concurrent smoke",
+                                      std::chrono::seconds(60));
   LeapTable table(test_schema());
   constexpr RowId kRows = 1000;
   {
@@ -147,6 +150,9 @@ void test_concurrent_smoke() {
 // maintenance fails this battery in the half-updated window; the
 // one-transaction maintenance must hold it at every instant.
 void test_multi_index_consistency(std::size_t primary_shards) {
+  const leap::test::Watchdog watchdog(
+      "multi-index consistency stress",
+      stress_duration() + std::chrono::seconds(30));
   Schema schema;
   schema.columns = {"a", "b"};
   schema.indexed_columns = {0, 1};
@@ -229,6 +235,9 @@ void test_multi_index_consistency(std::size_t primary_shards) {
 // time, so the reader could catch row 1 indexed under a=7 but not under
 // b=7 (or through a stale entry disagreeing with the primary).
 void test_partial_index_update_regression() {
+  // Bounded by the writer's 3000 flips; 60 s is ample under TSan too.
+  const leap::test::Watchdog watchdog("partial-index-update regression",
+                                      std::chrono::seconds(60));
   Schema schema;
   schema.columns = {"a", "b"};
   schema.indexed_columns = {0, 1};

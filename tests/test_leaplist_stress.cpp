@@ -35,6 +35,9 @@ std::chrono::milliseconds stress_duration() {
 
 template <typename ListT>
 void stress_variant(const char* name) {
+  const leap::test::Watchdog watchdog(
+      "mixed stress",
+      stress_duration() + std::chrono::seconds(30));
   constexpr unsigned kWriters = 4;
   constexpr unsigned kReaders = 2;
   constexpr unsigned kScanners = 2;
@@ -120,6 +123,9 @@ void stress_variant(const char* name) {
 /// as a use-after-free under ASan, where the pool is pass-through.
 template <typename ListT>
 void churn_variant(const char* name) {
+  const leap::test::Watchdog watchdog(
+      "churn stress",
+      stress_duration() + std::chrono::seconds(30));
   constexpr unsigned kWriters = 4;
   constexpr unsigned kReaders = 2;
   constexpr Key kChurnRange = 2048;
@@ -198,6 +204,9 @@ void churn_variant(const char* name) {
 /// must hold their poison (pool_debug_verify).
 template <typename ListT>
 void bundle_reclaim_variant(const char* name) {
+  const leap::test::Watchdog watchdog(
+      "bundle reclaim stress",
+      stress_duration() + std::chrono::seconds(30));
   constexpr unsigned kWriters = 4;
   constexpr Key kRange = 256;
   ListT list(Params{.node_size = 8, .max_level = 6});

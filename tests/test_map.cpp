@@ -2,8 +2,9 @@
 // OrderedMap concept conformance for every policy, Map functional fuzz
 // against std::map (negative keys included), append-vs-replace
 // semantics, bounded scans, snapshot cursors, composable typed
-// transactions, and early-exit visitor semantics under concurrent
-// splits.
+// transactions, the span get_in (interleaved search) against per-key
+// get_in and std::map, and early-exit visitor semantics under
+// concurrent splits.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -11,6 +12,8 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -257,11 +260,172 @@ void test_typed_txn() {
   CHECK(!b.contains(101));
 }
 
+// --- Span get_in: the interleaved search ------------------------------
+
+using leap::core::kSearchLanes;
+
+/// Every run of `keys` from 1 to kSearchLanes + 1 long, answered by the
+/// span get_in and by a get_in per key inside the same transaction;
+/// both must agree with `expect`.
+template <typename M, typename Expect>
+void check_span_runs(const M& map, const std::vector<std::int64_t>& keys,
+                     Expect&& expect) {
+  std::vector<std::optional<std::int64_t>> span_hits(keys.size());
+  std::vector<std::optional<std::int64_t>> seq_hits(keys.size());
+  for (std::size_t len = 1; len <= kSearchLanes + 1; ++len) {
+    for (std::size_t at = 0; at + len <= keys.size(); at += len) {
+      const std::span<const std::int64_t> run(keys.data() + at, len);
+      leap::txn([&](leap::stm::Tx& tx) {
+        map.get_in(tx, run, std::span(span_hits.data() + at, len));
+        for (std::size_t i = 0; i < len; ++i) {
+          seq_hits[at + i] = map.get_in(tx, run[i]);
+        }
+      });
+      for (std::size_t i = at; i < at + len; ++i) {
+        CHECK(span_hits[i] == seq_hits[i]);
+        CHECK(span_hits[i] == expect(keys[i]));
+      }
+    }
+  }
+}
+
+void test_span_get() {
+  using M = leap::Map<std::int64_t, std::int64_t, policy::TM>;
+  // Small nodes and a short index: many nodes, many levels per descent.
+  M map(Params{.node_size = 4, .max_level = 6});
+  std::map<std::int64_t, std::int64_t> reference;
+  leap::util::Xoshiro256 rng(0x5ba9);
+  for (int op = 0; op < 4000; ++op) {
+    const auto key = static_cast<std::int64_t>(rng.next_below(3000)) - 1500;
+    if (rng.next_below(4) == 0) {
+      map.erase(key);
+      reference.erase(key);
+    } else {
+      map.insert(key, key * 3);
+      reference[key] = key * 3;
+    }
+  }
+  const auto expect = [&](std::int64_t key) -> std::optional<std::int64_t> {
+    const auto it = reference.find(key);
+    if (it == reference.end()) return std::nullopt;
+    return it->second;
+  };
+  // Present and absent keys, repeats inside one run, and the domain
+  // edges (absent, but ordinary keys to the search).
+  std::vector<std::int64_t> keys;
+  for (int i = 0; i < 400; ++i) {
+    const auto key = static_cast<std::int64_t>(rng.next_below(3200)) - 1600;
+    keys.push_back(key);
+    if (i % 7 == 0) keys.push_back(key);
+  }
+  keys.push_back(std::numeric_limits<std::int64_t>::min() + 1);
+  keys.push_back(std::numeric_limits<std::int64_t>::max() - 1);
+  keys.insert(keys.begin(), std::numeric_limits<std::int64_t>::max() - 1);
+  check_span_runs(map, keys, expect);
+  // Read-your-writes: a run after an insert_in and an erase_in of its
+  // own keys, in the same transaction, sees both writes.
+  const std::int64_t fresh = 1700;  // outside the fuzzed range
+  const std::int64_t gone = reference.begin()->first;
+  leap::txn([&](leap::stm::Tx& tx) {
+    map.insert_in(tx, fresh, 17);
+    map.erase_in(tx, gone);
+    const std::vector<std::int64_t> run = {gone, fresh, gone, fresh};
+    std::vector<std::optional<std::int64_t>> hits(run.size());
+    map.get_in(tx, run, hits);
+    CHECK(!hits[0].has_value() && !hits[2].has_value());
+    CHECK(hits[1] == std::optional<std::int64_t>(17));
+    CHECK(hits[3] == std::optional<std::int64_t>(17));
+  });
+  reference[fresh] = 17;
+  reference.erase(gone);
+  check_span_runs(map, keys, expect);
+  CHECK(map.debug_validate());
+  // A typed map: codecs encode the keys and decode the values.
+  leap::Map<std::int32_t, double, policy::TM> typed(
+      Params{.node_size = 4, .max_level = 4});
+  for (std::int32_t k = -50; k <= 50; k += 2) typed.insert(k, k * 0.5);
+  const std::vector<std::int32_t> typed_keys = {-50, -49, 0, 1, 50, 0};
+  std::vector<std::optional<double>> typed_hits(typed_keys.size());
+  leap::txn([&](leap::stm::Tx& tx) {
+    typed.get_in(tx, typed_keys, typed_hits);
+  });
+  for (std::size_t i = 0; i < typed_keys.size(); ++i) {
+    const bool even = typed_keys[i] % 2 == 0;
+    CHECK_EQ(typed_hits[i].has_value(), even);
+    if (even) CHECK_EQ(*typed_hits[i], typed_keys[i] * 0.5);
+  }
+  std::printf("  span get_in ok\n");
+}
+
+/// Span gets racing a writer that splits and merges node-size-4 nodes:
+/// within one transaction the span get_in and a get_in per key must
+/// agree, and every hit must carry its key's value.
+void test_span_get_split_storm() {
+  using M = leap::Map<std::int64_t, std::int64_t, policy::TM>;
+  const auto window =
+      leap::test::stress_duration(std::chrono::milliseconds(300));
+  const leap::test::Watchdog watchdog("span get split storm",
+                                      window + std::chrono::seconds(30));
+  M map(Params{.node_size = 4, .max_level = 8});
+  constexpr std::int64_t kRange = 4000;
+  {
+    std::vector<std::pair<std::int64_t, std::int64_t>> seed;
+    for (std::int64_t k = 2; k <= kRange; k += 2) seed.push_back({k, -k});
+    map.bulk_load(seed);
+  }
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    leap::util::Xoshiro256 rng(21);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const auto key = static_cast<std::int64_t>(1 + rng.next_below(kRange));
+      if ((rng.next() & 1) != 0) {
+        map.insert(key, -key);
+      } else {
+        map.erase(key);
+      }
+    }
+  });
+  const auto deadline = std::chrono::steady_clock::now() + window;
+  leap::util::Xoshiro256 rng(22);
+  std::vector<std::int64_t> run;
+  std::vector<std::optional<std::int64_t>> span_hits;
+  std::vector<std::optional<std::int64_t>> seq_hits;
+  std::uint64_t runs = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    run.resize(1 + rng.next_below(kSearchLanes + 1));
+    for (std::int64_t& key : run) {
+      key = static_cast<std::int64_t>(1 + rng.next_below(kRange));
+    }
+    span_hits.resize(run.size());
+    seq_hits.resize(run.size());
+    leap::txn([&](leap::stm::Tx& tx) {
+      map.get_in(tx, run, span_hits);
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        seq_hits[i] = map.get_in(tx, run[i]);
+      }
+    });
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      CHECK(span_hits[i] == seq_hits[i]);
+      if (span_hits[i]) CHECK_EQ(*span_hits[i], -run[i]);
+    }
+    ++runs;
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  CHECK(map.debug_validate());
+  std::printf("  span get split storm ok (%llu runs)\n",
+              static_cast<unsigned long long>(runs));
+}
+
 // --- Early-exit visitation under concurrent splits -------------------
 
 template <typename P>
 void test_early_exit_concurrent(const char* name) {
   using M = leap::Map<std::int64_t, std::int64_t, P>;
+  const auto window =
+      leap::test::stress_duration(std::chrono::milliseconds(300));
+  const leap::test::Watchdog watchdog("early-exit concurrent stress",
+                                      window + std::chrono::seconds(30));
   // Tiny nodes so inserts split constantly under the readers' feet.
   M map(Params{.node_size = 4, .max_level = 8});
   constexpr std::int64_t kRange = 20000;
@@ -283,9 +447,7 @@ void test_early_exit_concurrent(const char* name) {
       }
     }
   });
-  const auto deadline = std::chrono::steady_clock::now() +
-                        leap::test::stress_duration(
-                            std::chrono::milliseconds(300));
+  const auto deadline = std::chrono::steady_clock::now() + window;
   leap::util::Xoshiro256 rng(11);
   while (std::chrono::steady_clock::now() < deadline) {
     const auto low = static_cast<std::int64_t>(1 + rng.next_below(kRange));
@@ -325,6 +487,8 @@ int main() {
   test_map_fuzz<policy::TM>("TM");
   test_map_fuzz<policy::RW>("RW");
   test_typed_txn();
+  test_span_get();
+  test_span_get_split_storm();
   test_early_exit_concurrent<policy::LT>("LT");
   test_early_exit_concurrent<policy::TM>("TM");
   return leap::test::finish("test_map");

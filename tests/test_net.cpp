@@ -352,6 +352,12 @@ void test_golden_response_bytes() {
   for (std::size_t i = 0; i < kStatsWords; ++i) {
     CHECK_EQ(back_words[i], words[i]);
   }
+  // The get-run counters are words 22 and 23: after the store counters,
+  // before the batch histogram.
+  CHECK_EQ(back.stats.checkpoint_retries, words[21]);
+  CHECK_EQ(back.stats.get_runs, words[22]);
+  CHECK_EQ(back.stats.get_run_ops, words[23]);
+  CHECK_EQ(back.stats.batch_hist[0], words[24]);
 }
 
 void test_parser_rejects_malformed() {
@@ -467,6 +473,115 @@ void test_pipelined_burst(Server& server) {
   // Clean the stripe so later tests see a predictable map.
   for (const auto& entry : oracle) CHECK(client.erase(entry.first));
   CHECK(!client.failed());
+}
+
+void test_get_heavy_burst() {
+  // One burst of mostly gets over all 8 shards, as read-zipf sends:
+  // leapd answers each run of consecutive gets through one interleaved
+  // search. Runs longer than core::kSearchLanes, repeats inside a run,
+  // and put -> get -> erase -> get on one key must all answer in FIFO
+  // order with read-your-writes, checked against a std::map replay.
+  ServerOptions opts = test_options();
+  opts.shards = 8;
+  Server server(opts);
+  CHECK(server.start());
+  Client client;
+  CHECK(client.connect("127.0.0.1", server.port()));
+  std::map<std::int64_t, std::int64_t> oracle;
+  leap::util::Xoshiro256 rng(321);
+  std::vector<std::int64_t> pool;
+  for (int i = 0; i < 256; ++i) {
+    pool.push_back(static_cast<std::int64_t>(rng.next_below(1'000'000)));
+  }
+  for (std::size_t i = 0; i < pool.size(); i += 2) {
+    CHECK(client.put(pool[i], pool[i] * 2) == !oracle.contains(pool[i]));
+    oracle[pool[i]] = pool[i] * 2;
+  }
+  const auto before = client.stats();
+  CHECK(before.has_value());
+  struct Sent {
+    Op op;
+    std::int64_t key;
+    bool flag;
+    std::int64_t value;
+  };
+  std::vector<Sent> sent;
+  const auto queue_get = [&](std::int64_t key) {
+    const auto it = oracle.find(key);
+    const bool found = it != oracle.end();
+    client.queue_get(key);
+    sent.push_back({Op::kGet, key, found, found ? it->second : 0});
+  };
+  const auto queue_put = [&](std::int64_t key, std::int64_t value) {
+    const bool inserted = oracle.insert_or_assign(key, value).second;
+    client.queue_put(key, value);
+    sent.push_back({Op::kPut, key, inserted, 0});
+  };
+  const auto queue_erase = [&](std::int64_t key) {
+    const bool erased = oracle.erase(key) > 0;
+    client.queue_erase(key);
+    sent.push_back({Op::kErase, key, erased, 0});
+  };
+  // A run past the cap that repeats keys, on every shard.
+  for (std::size_t i = 0; i < 2 * leap::core::kSearchLanes + 5; ++i) {
+    queue_get(pool[i % pool.size()]);
+    if (i % 9 == 0) queue_get(pool[i % pool.size()]);
+  }
+  // put -> get -> erase -> get on one key, inside runs of gets.
+  const std::int64_t flip = 999'983;
+  queue_get(flip);
+  queue_put(flip, 7);
+  queue_get(flip);
+  queue_get(pool[1]);
+  queue_erase(flip);
+  queue_get(flip);
+  queue_get(flip);
+  // Then a random 92%-get mix.
+  for (int i = 0; i < 1200; ++i) {
+    const std::int64_t key = pool[rng.next_below(pool.size())];
+    const auto dial = rng.next_below(100);
+    if (dial < 5) {
+      queue_put(key, static_cast<std::int64_t>(rng.next()));
+    } else if (dial < 8) {
+      queue_erase(key);
+    } else {
+      queue_get(key);
+    }
+  }
+  std::size_t gets = 0;
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    if (sent[i].op != Op::kGet) continue;
+    ++gets;
+    if (i == 0 || sent[i - 1].op != Op::kGet) ++runs;
+  }
+  CHECK(gets * 10 >= sent.size() * 9);
+  CHECK(client.flush());
+  for (const Sent& s : sent) {
+    const auto resp = client.read_response();
+    CHECK(resp.has_value());
+    if (s.op == Op::kGet) {
+      if (s.flag) {
+        CHECK(resp->status == Status::kFound);
+        CHECK_EQ(resp->value, s.value);
+      } else {
+        CHECK(resp->status == Status::kMiss);
+      }
+    } else {
+      CHECK(resp->status == Status::kOk);
+      CHECK_EQ(resp->flag, s.flag ? 1 : 0);
+    }
+  }
+  // Every get of the burst went through a run; a batch boundary can
+  // only split runs, never merge them.
+  const auto after = client.stats();
+  CHECK(after.has_value());
+  CHECK_EQ(after->get_run_ops - before->get_run_ops,
+           static_cast<std::uint64_t>(gets));
+  CHECK(after->get_runs - before->get_runs >= runs);
+  CHECK(after->get_runs - before->get_runs < gets);
+  CHECK(!client.failed());
+  server.stop();
 }
 
 void test_scan_streams_chunks(Server& server) {
@@ -918,6 +1033,8 @@ void test_stats_codec_round_trip() {
   in.store_fail_stop = 20;
   in.corrupt_blocks = 21;
   in.checkpoint_retries = 22;
+  in.get_runs = 23;
+  in.get_run_ops = 24;
   for (std::size_t i = 0; i < kBatchHistBuckets; ++i) {
     in.batch_hist[i] = 100 + i;
   }
@@ -951,6 +1068,8 @@ void test_stats_codec_round_trip() {
   CHECK_EQ(out.store_fail_stop, in.store_fail_stop);
   CHECK_EQ(out.corrupt_blocks, in.corrupt_blocks);
   CHECK_EQ(out.checkpoint_retries, in.checkpoint_retries);
+  CHECK_EQ(out.get_runs, in.get_runs);
+  CHECK_EQ(out.get_run_ops, in.get_run_ops);
   for (std::size_t i = 0; i < kBatchHistBuckets; ++i) {
     CHECK_EQ(out.batch_hist[i], in.batch_hist[i]);
   }
@@ -1220,6 +1339,7 @@ int main() {
     server.stop();
     CHECK(server.stats().ops > 0);
   }
+  test_get_heavy_burst();
   test_shed_battery();
   test_emfile_recovery();
   test_stop_with_live_connections();

@@ -3,18 +3,23 @@
 // reachable), partition-boundary fuzz against std::map (keys adjacent
 // to split points, plus keys outside the hint window), stitched range
 // semantics (early exit, bounded scans, cursors across boundaries),
-// cross-shard composition with plain maps, and the cross-shard
-// linearizability stress: movers rotate keys between slots in different
-// shards (half through leap::txn with in-transaction invariant checks,
-// half through move_key) while stitched-range and point readers assert
-// exactly-once visibility at every instant. LEAP_STRESS_MS scales the
-// stress window; the whole file runs in the ASan and TSan CI jobs.
+// cross-shard composition with plain maps, the span get_in (one
+// interleaved search across shards) against per-key get_in and
+// std::map, and the cross-shard linearizability stress: movers rotate
+// keys between slots in different shards (half through leap::txn with
+// in-transaction invariant checks, half through move_key) while
+// stitched-range, point and span-get readers assert exactly-once
+// visibility at every instant. LEAP_STRESS_MS scales the stress
+// window; the whole file runs in the ASan and TSan CI jobs.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -323,6 +328,116 @@ void test_composition() {
   std::printf("  composition ok\n");
 }
 
+// --- Span get_in across shards: one interleaved search ----------------
+
+void test_span_get_across_shards() {
+  using SM = leap::ShardedMap<std::int64_t, std::int64_t, policy::TM>;
+  using leap::core::kSearchLanes;
+  constexpr std::int64_t kLo = -4000;
+  constexpr std::int64_t kHi = 4000;
+  SM map(ShardOptions{.shards = 8,
+                      .params = Params{.node_size = 4, .max_level = 6}},
+         kLo, kHi);
+  std::map<std::int64_t, std::int64_t> reference;
+  leap::util::Xoshiro256 rng(0x5a4d);
+  for (int op = 0; op < 6000; ++op) {
+    const auto key = kLo + static_cast<std::int64_t>(
+                               rng.next_below(static_cast<std::uint64_t>(
+                                   kHi - kLo + 1)));
+    if (rng.next_below(4) == 0) {
+      map.erase(key);
+      reference.erase(key);
+    } else {
+      map.insert(key, key ^ 0x55);
+      reference[key] = key ^ 0x55;
+    }
+  }
+  const auto expect = [&](std::int64_t key) -> std::optional<std::int64_t> {
+    const auto it = reference.find(key);
+    if (it == reference.end()) return std::nullopt;
+    return it->second;
+  };
+  // Keys on every shard, present and absent, repeats inside a run, keys
+  // outside the hint window and the domain edges.
+  std::vector<std::int64_t> keys;
+  std::vector<bool> shard_hit(map.shard_count(), false);
+  for (int i = 0; i < 600; ++i) {
+    const auto key = kLo - 50 + static_cast<std::int64_t>(
+                                    rng.next_below(static_cast<std::uint64_t>(
+                                        kHi - kLo + 101)));
+    keys.push_back(key);
+    shard_hit[map.shard_of(key)] = true;
+    if (i % 5 == 0) keys.push_back(key);
+  }
+  keys.push_back(std::numeric_limits<std::int64_t>::min() + 1);
+  keys.push_back(std::numeric_limits<std::int64_t>::max() - 1);
+  keys.insert(keys.begin() + 3, std::numeric_limits<std::int64_t>::min() + 1);
+  for (const bool hit : shard_hit) CHECK(hit);
+  std::vector<std::optional<std::int64_t>> span_hits(keys.size());
+  std::vector<std::optional<std::int64_t>> seq_hits(keys.size());
+  const auto check_runs = [&] {
+    for (std::size_t len = 1; len <= kSearchLanes + 1; ++len) {
+      for (std::size_t at = 0; at + len <= keys.size(); at += len) {
+        const std::span<const std::int64_t> run(keys.data() + at, len);
+        leap::txn([&](leap::stm::Tx& tx) {
+          map.get_in(tx, run, std::span(span_hits.data() + at, len));
+          for (std::size_t i = 0; i < len; ++i) {
+            seq_hits[at + i] = map.get_in(tx, run[i]);
+          }
+        });
+        for (std::size_t i = at; i < at + len; ++i) {
+          CHECK(span_hits[i] == seq_hits[i]);
+          CHECK(span_hits[i] == expect(keys[i]));
+        }
+      }
+    }
+  };
+  check_runs();
+  // Read-your-writes across shards: in one transaction, put a key on
+  // every shard and erase one present key per shard, then read them all
+  // back in one run (each twice, interleaved).
+  std::vector<std::int64_t> written;
+  std::vector<std::int64_t> erased;
+  for (std::size_t s = 0; s < map.shard_count(); ++s) {
+    for (const auto& [key, value] : reference) {
+      if (map.shard_of(key) == s) {
+        erased.push_back(key);
+        break;
+      }
+    }
+    for (std::int64_t key = kLo; key <= kHi; ++key) {
+      if (map.shard_of(key) == s && !reference.contains(key)) {
+        written.push_back(key);
+        break;
+      }
+    }
+  }
+  CHECK_EQ(written.size(), map.shard_count());
+  CHECK_EQ(erased.size(), map.shard_count());
+  leap::txn([&](leap::stm::Tx& tx) {
+    std::vector<std::int64_t> run;
+    for (std::size_t s = 0; s < written.size(); ++s) {
+      map.insert_in(tx, written[s], -1 - written[s]);
+      map.erase_in(tx, erased[s]);
+      run.insert(run.end(), {written[s], erased[s]});
+    }
+    run.insert(run.end(), run.begin(), run.end());
+    std::vector<std::optional<std::int64_t>> hits(run.size());
+    map.get_in(tx, run, hits);
+    for (std::size_t i = 0; i < run.size(); i += 2) {
+      CHECK(hits[i] == std::optional<std::int64_t>(-1 - run[i]));
+      CHECK(!hits[i + 1].has_value());
+    }
+  });
+  for (std::size_t s = 0; s < written.size(); ++s) {
+    reference[written[s]] = -1 - written[s];
+    reference.erase(erased[s]);
+  }
+  check_runs();
+  CHECK(map.debug_validate());
+  std::printf("  span get_in across shards ok\n");
+}
+
 // --- Composable updates under two writers ----------------------------
 // Two threads commit leap::txns of 32 insert_ins on interleaved keys
 // (so both write the same nodes of the same shards) plus one 50-pair
@@ -446,6 +561,7 @@ void test_cross_shard_atomicity_stress() {
   constexpr unsigned kMovers = 4;
   constexpr unsigned kPointReaders = 2;
   constexpr unsigned kSnapshotReaders = 2;
+  constexpr unsigned kSpanReaders = 1;
   const auto window =
       leap::test::stress_duration(std::chrono::milliseconds(400));
   const leap::test::Watchdog watchdog("cross-shard atomicity stress",
@@ -468,7 +584,7 @@ void test_cross_shard_atomicity_stress() {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> moves{0};
   leap::util::SpinBarrier barrier(kMovers + kPointReaders +
-                                  kSnapshotReaders + 1);
+                                  kSnapshotReaders + kSpanReaders + 1);
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < kMovers; ++t) {
     threads.emplace_back([&, t] {
@@ -530,6 +646,34 @@ void test_cross_shard_atomicity_stress() {
       }
     });
   }
+  for (unsigned t = 0; t < kSpanReaders; ++t) {
+    threads.emplace_back([&, t] {
+      // Both slots of up to 20 logical keys (repeats allowed) in one
+      // span get_in: one interleaved search across the shards must
+      // still find every key in exactly one slot.
+      leap::util::Xoshiro256 rng(1900 + t);
+      std::vector<std::int64_t> logical;
+      std::vector<std::int64_t> run;
+      std::vector<std::optional<std::int64_t>> hits;
+      barrier.arrive_and_wait();
+      while (!stop.load(std::memory_order_relaxed)) {
+        logical.resize(1 + rng.next_below(20));
+        run.clear();
+        for (std::int64_t& k : logical) {
+          k = static_cast<std::int64_t>(1 + rng.next_below(kLogical));
+          run.insert(run.end(), {k, k + kOffset});
+        }
+        hits.resize(run.size());
+        leap::txn([&](leap::stm::Tx& tx) { map.get_in(tx, run, hits); });
+        for (std::size_t i = 0; i < logical.size(); ++i) {
+          const auto& at_low = hits[2 * i];
+          const auto& at_high = hits[2 * i + 1];
+          CHECK(at_low.has_value() != at_high.has_value());
+          CHECK_EQ(at_low ? *at_low : *at_high, value_for(logical[i]));
+        }
+      }
+    });
+  }
   for (unsigned t = 0; t < kSnapshotReaders; ++t) {
     threads.emplace_back([&, t] {
       std::vector<std::pair<std::int64_t, std::int64_t>> snap;
@@ -586,6 +730,7 @@ int main() {
   test_boundary_fuzz<policy::SkipCAS>("SkipCAS");
   test_composition();
   test_scan_in_stops_at_high();
+  test_span_get_across_shards();
   test_two_writer_update_wedge();
   test_cross_shard_atomicity_stress();
   return leap::test::finish("test_sharded");

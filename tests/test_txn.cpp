@@ -127,6 +127,9 @@ void test_multilist_functional() {
 
 // Writers rotate keys a->b->c->a; every key lives in exactly one list.
 void test_cross_list_atomicity_stress() {
+  const leap::test::Watchdog watchdog(
+      "cross-list atomicity stress",
+      stress_duration() + std::chrono::seconds(30));
   constexpr unsigned kMovers = 4;
   constexpr unsigned kPointReaders = 2;
   constexpr unsigned kSnapshotReaders = 2;
